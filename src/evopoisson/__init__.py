@@ -2,9 +2,8 @@
 game played by a Poisson-sized heterogeneous population."""
 
 from .control import (ConcavityReport, ControllerState, ControlMode,
-                      ScheduleFlags, concavity_check, optimize_exact,
-                      revenue, run_two_timescale, spsa_gradient,
-                      validate_schedule)
+                      concavity_check, optimize_exact, revenue,
+                      run_two_timescale, spsa_gradient)
 from .dynamics import (StepFamily, StepSchedule, Trajectory,
                        discrete_replicator, integrate_replicator,
                        replicator_rhs)
@@ -31,12 +30,12 @@ __all__ = [
     "EquilibriumKind", "EquilibriumResult", "EssReport", "EvoPoissonError",
     "NUMBA_ACTIVE", "NumericalError", "ParameterError", "PayoffEngine",
     "PopulationModel", "ResourceLimitError", "SafeSet", "SafeSetConvention",
-    "ScheduleFlags", "StepFamily", "StepSchedule", "Trajectory",
+    "StepFamily", "StepSchedule", "Trajectory",
     "check_dominance", "closed_form_lambert", "closed_form_log",
     "concavity_check", "critical_threshold_homogeneous",
     "discrete_replicator", "effective_rates", "enumerate_safe_set",
     "integrate_replicator", "interior_exists", "lambert_w_minus1",
     "model_from_dict", "model_from_json", "optimize_exact", "propagates",
     "replicator_rhs", "revenue", "run_two_timescale", "solve_equilibrium",
-    "spsa_gradient", "validate_schedule", "verify_ess",
+    "spsa_gradient", "verify_ess",
 ]

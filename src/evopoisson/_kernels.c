@@ -6,6 +6,9 @@
  * equal to the Python twins'. Counts and flags come back through the
  * pointer arguments; see the wrappers in _kernels.py for the layout.
  *
+ * There are three loops: bisect_root, discrete_path and rk4_path.
+ * equilibrate is discrete_path at a constant step that stores no path.
+ *
  * Schedule family codes: 0 -> 1/n, 1 -> 1/(1 + n log n), 2 -> 1/n^2,
  * 3 -> constant h.
  */
@@ -167,21 +170,13 @@ long long rk4_path(const double *c, long long nc, double lam, double big_k,
     return m;
 }
 
+/* discrete_path at the constant step gain, keeping only the end point. */
 double equilibrate(const double *c, long long nc, double lam, double big_k,
                    double price, double p0, double gain, double tol,
                    long long n_max, long long *steps, int *converged)
 {
-    double p = p0;
-    *converged = 0;
-    *steps = 0;
-    for (long long n = 1; n <= n_max; n++) {
-        double dr = drift(c, nc, lam, big_k, price, p, 1.0);
-        *steps = n;
-        if (fabs(dr) < tol) {
-            *converged = 1;
-            break;
-        }
-        p = halving_step(p, gain * dr);
-    }
+    double idx[2], path[2], p;
+    discrete_path(c, nc, lam, big_k, price, p0, n_max, tol, 3, gain, 1, 2,
+                  idx, path, steps, converged, &p);
     return p;
 }

@@ -1,22 +1,25 @@
 """Hot numeric loops for payoff evaluation, dynamics, and equilibrium search.
 
-The four loop kernels (``bisect_root``, ``discrete_path``, ``rk4_path``,
-``equilibrate``) are written twice: in C, in ``_kernels.c`` next to this
-file, and in plain Python (``py_*``). On first import the C file is built
-with the system compiler (``cc -O2 -ffp-contract=off -fPIC -shared``, no
-fast-math) into ``__pycache__``, under a name keyed by a hash of the source
-and the flags, and loaded with ctypes; later imports load the cached
-library without starting the compiler. Both versions execute the same
-sequence of IEEE operations with the same libm ``exp``/``log``, so their
-results are bitwise equal. When there is no ``cc``, the build fails, or
-``__pycache__`` cannot be written, the exported loops are the ``py_*``
-twins (same results, 10-100x slower, the most on the long paths).
+The three loop kernels (``bisect_root``, ``discrete_path``, ``rk4_path``)
+are written twice: in C, in ``_kernels.c`` next to this file, and in plain
+Python (``py_*``). ``equilibrate``, the nested controller's re-settling
+loop, is ``discrete_path`` at a constant step that keeps no path. On first
+import the C file is built with the system compiler (``cc -O2
+-ffp-contract=off -fPIC -shared``, no fast-math) into ``__pycache__``,
+under a name keyed by a hash of the source and the flags, and loaded with
+ctypes; later imports load the cached library without starting the
+compiler. Both versions execute the same sequence of IEEE operations with
+the same libm ``exp``/``log``, so their results are bitwise equal. When
+there is no ``cc``, the build fails, or ``__pycache__`` cannot be written,
+the exported loops are the ``py_*`` twins (same results, 10-100x slower,
+the most on the long paths).
 
 The scalar evaluators (``poly``, ``safe_prob``, ``cost_off``, ``drift``)
 are always the Python functions: a foreign call per evaluation would cost
 more than it saves.
 
-Schedule family codes used by the loop kernels:
+Schedule family codes used by the loop kernels (``py_step`` is the one
+Python definition of b(n)):
   0 -> 1/n, 1 -> 1/(1 + n*log n), 2 -> 1/n**2, 3 -> constant h.
 """
 
@@ -60,6 +63,17 @@ def py_cost_off(coeffs, y, big_k):
 def py_drift(coeffs, lam, big_k, price, p, eps):
     """Replicator right-hand side (1/eps) * p(1-p) * (price - cost_off)."""
     return p * (1.0 - p) * (price - py_cost_off(coeffs, lam * p, big_k)) / eps
+
+
+def py_step(family, h, n):
+    """Step size b(n), n >= 1, of schedule family code ``family``."""
+    if family == 0:
+        return 1.0 / n
+    if family == 1:
+        return 1.0 / (1.0 + n * math.log(n))
+    if family == 2:
+        return 1.0 / (n * n)
+    return h
 
 
 def halving_step(p, step):
@@ -119,20 +133,12 @@ def py_discrete_path(coeffs, lam, big_k, price, p0, n_max, tol, family, h,
     converged = False
     n_done = 0
     for n in range(1, n_max + 1):
-        if family == 0:
-            b = 1.0 / n
-        elif family == 1:
-            b = 1.0 / (1.0 + n * math.log(n))
-        elif family == 2:
-            b = 1.0 / (n * n)
-        else:
-            b = h
         drift = py_drift(coeffs, lam, big_k, price, p, 1.0)
         n_done = n
         if abs(drift) < tol:
             converged = True
             break
-        p = halving_step(p, b * drift)
+        p = halving_step(p, py_step(family, h, n) * drift)
         if n % stride == 0 and m < cap - 1:
             idx[m] = float(n)
             path[m] = p
@@ -195,18 +201,13 @@ def py_equilibrate(coeffs, lam, big_k, price, p0, gain, tol, n_max):
 
     Used by the nested controller to re-equilibrate the population after a
     price move; geometric convergence makes it cheap to call per probe.
-    Returns (p_final, steps, converged).
+    This is ``py_discrete_path`` at the constant step ``gain``, keeping no
+    path. It is called by that name, not as the exported ``discrete_path``,
+    so a wrapper around the export (the benchmark's tracer) does not count
+    these steps as replicator paths. Returns (p_final, steps, converged).
     """
-    p = p0
-    converged = False
-    steps = 0
-    for n in range(1, n_max + 1):
-        drift = py_drift(coeffs, lam, big_k, price, p, 1.0)
-        steps = n
-        if abs(drift) < tol:
-            converged = True
-            break
-        p = halving_step(p, gain * drift)
+    _, _, _, steps, converged, p = py_discrete_path(
+        coeffs, lam, big_k, price, p0, n_max, tol, 3, gain, 1, 2)
     return p, steps, converged
 
 

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import _kernels
-from .dynamics import StepFamily, StepSchedule
+from .dynamics import StepSchedule
 from .equilibrium import solve_equilibrium
 from .errors import ParameterError
 from .payoff import PayoffEngine
@@ -25,26 +25,6 @@ from .payoff import PayoffEngine
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 EQUILIBRATE_TOL = 1e-9
 EQUILIBRATE_MAX_STEPS = 500_000
-
-
-@dataclass(frozen=True)
-class ScheduleFlags:
-    sums_to_infinity: bool
-    square_summable: bool
-    slower_than_inv_n: bool | None
-
-    @property
-    def valid_for_control(self) -> bool:
-        return bool(self.sums_to_infinity and self.square_summable
-                    and self.slower_than_inv_n)
-
-
-def validate_schedule(schedule: StepSchedule) -> ScheduleFlags:
-    """Analytic step-size conditions for the controller update."""
-    if not isinstance(schedule, StepSchedule):
-        raise ParameterError(f"unsupported schedule {schedule!r}")
-    return ScheduleFlags(schedule.sums_to_infinity, schedule.square_summable,
-                         schedule.slower_than_inv_n)
 
 
 def revenue(engine: PayoffEngine, price: float) -> float:
@@ -163,21 +143,10 @@ class ControllerState:
     trace_revenue: np.ndarray
     trace_sign: np.ndarray
     trace_population: np.ndarray
-    schedule_flags: ScheduleFlags
     notes: tuple = field(default_factory=tuple)
 
 
-def _equilibrate(engine: PayoffEngine, price: float, p0: float,
-                 gain: float) -> float:
-    m = engine.model
-    p, _, _ = _kernels.equilibrate(engine.coeffs, m.lam, m.infection_cost,
-                                   price, p0, gain, EQUILIBRATE_TOL,
-                                   EQUILIBRATE_MAX_STEPS)
-    return p
-
-
 def run_two_timescale(engine: PayoffEngine, schedule_a: StepSchedule,
-                      b_family: StepFamily = StepFamily.INV_N,
                       delta: float | None = None, c0: float | None = None,
                       n_outer: int = 300,
                       mode: ControlMode = ControlMode.NESTED,
@@ -187,12 +156,12 @@ def run_two_timescale(engine: PayoffEngine, schedule_a: StepSchedule,
 
     NESTED re-equilibrates the population for each probe price before
     reading revenue off the settled share, matching a controller that
-    waits out the population between moves. COUPLED takes a single
-    replicator step (schedule ``b_family``) per price update and estimates
-    both probe revenues at the current, possibly unsettled, share. The
-    price is projected onto [delta, K - delta] every step so probes stay
-    evaluable. ``revenue_hook`` replaces the revenue observation entirely
-    (test hook for known objectives).
+    waits out the population between moves. COUPLED takes a single 1/n
+    replicator step per price update and estimates both probe revenues at
+    the current, possibly unsettled, share. The price is projected onto
+    [delta, K - delta] every step so probes stay evaluable.
+    ``revenue_hook`` replaces the revenue observation entirely (test hook
+    for known objectives).
     """
     m = engine.model
     big_k = m.infection_cost
@@ -204,18 +173,30 @@ def run_two_timescale(engine: PayoffEngine, schedule_a: StepSchedule,
         c0 = 0.5 * big_k
     if not 0.0 < c0 < big_k:
         raise ParameterError(f"c0 must lie in (0, K), got {c0}")
-    flags = validate_schedule(schedule_a)
+    if not isinstance(schedule_a, StepSchedule):
+        raise ParameterError(f"unsupported schedule {schedule_a!r}")
     notes = []
-    if not flags.valid_for_control:
+    if not schedule_a.valid_for_control:
         notes.append(
             f"schedule a(n)={schedule_a.family.value} violates the "
             f"controller step conditions; convergence is not expected")
-    b_schedule = StepSchedule(b_family, h=schedule_a.h)
     rng = np.random.default_rng(seed)
     gain = min(0.25, 2.0 / (1.0 + m.lam * big_k / 4.0))
 
     price = min(max(float(c0), delta), big_k - delta)
     pop = float(p0)
+
+    def observe(c):
+        """Revenue at price c; NESTED first settles the population at c."""
+        nonlocal pop
+        if mode is ControlMode.NESTED:
+            pop, _, _ = _kernels.equilibrate(
+                engine.coeffs, m.lam, big_k, c, pop, gain, EQUILIBRATE_TOL,
+                EQUILIBRATE_MAX_STEPS)
+        if revenue_hook is not None:
+            return revenue_hook(c)
+        return m.lam * (1.0 - pop) * c
+
     ns = np.empty(n_outer)
     prices = np.empty(n_outer)
     revenues = np.empty(n_outer)
@@ -224,22 +205,12 @@ def run_two_timescale(engine: PayoffEngine, schedule_a: StepSchedule,
     for n in range(1, n_outer + 1):
         sign = 1.0 if rng.random() < 0.5 else -1.0
         probe = price + delta * sign
-        if mode is ControlMode.NESTED:
-            pop = _equilibrate(engine, probe, pop, gain)
-            r_probe = (revenue_hook(probe) if revenue_hook is not None
-                       else m.lam * (1.0 - pop) * probe)
-            pop = _equilibrate(engine, price, pop, gain)
-            r_base = (revenue_hook(price) if revenue_hook is not None
-                      else m.lam * (1.0 - pop) * price)
-        else:
-            b = b_schedule.step(n)
+        if mode is ControlMode.COUPLED:
             drift = _kernels.drift(engine.coeffs, m.lam, big_k, price, pop,
                                    1.0)
-            pop = _kernels.halving_step(pop, b * drift)
-            r_probe = (revenue_hook(probe) if revenue_hook is not None
-                       else m.lam * (1.0 - pop) * probe)
-            r_base = (revenue_hook(price) if revenue_hook is not None
-                      else m.lam * (1.0 - pop) * price)
+            pop = _kernels.halving_step(pop, (1.0 / n) * drift)
+        r_probe = observe(probe)
+        r_base = observe(price)
         quotient = (r_probe - r_base) / (delta * sign)
         ns[n - 1] = n
         prices[n - 1] = price
@@ -252,4 +223,4 @@ def run_two_timescale(engine: PayoffEngine, schedule_a: StepSchedule,
         price=price, iteration=n_outer, schedule=schedule_a, delta=delta,
         rng_seed=seed, mode=mode, trace_n=ns, trace_price=prices,
         trace_revenue=revenues, trace_sign=signs, trace_population=pops,
-        schedule_flags=flags, notes=tuple(notes))
+        notes=tuple(notes))

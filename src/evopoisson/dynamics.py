@@ -11,7 +11,6 @@ square-summable it tracks the ODE limit.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -75,16 +74,16 @@ class StepSchedule:
     def slower_than_inv_n(self) -> bool | None:
         return _FAMILY_FLAGS[self.family][2]
 
+    @property
+    def valid_for_control(self) -> bool:
+        """All three conditions hold, as the controller's a(n) needs."""
+        return bool(self.sums_to_infinity and self.square_summable
+                    and self.slower_than_inv_n)
+
     def step(self, n: int) -> float:
         if n < 1:
             raise ParameterError(f"schedule index starts at 1, got {n}")
-        if self.family is StepFamily.INV_N:
-            return 1.0 / n
-        if self.family is StepFamily.INV_N_LOG_N:
-            return 1.0 / (1.0 + n * math.log(n))
-        if self.family is StepFamily.INV_N_SQ:
-            return 1.0 / (n * n)
-        return self.h
+        return _kernels.py_step(_FAMILY_CODE[self.family], self.h, n)
 
 
 @dataclass(frozen=True)

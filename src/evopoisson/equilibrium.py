@@ -55,7 +55,9 @@ def _result(engine: PayoffEngine, p: float, kind: EquilibriumKind,
     else:
         m = engine.model
         target = 1.0 - m.protection_cost / m.infection_cost
-        residual = abs(engine.safe_probability(p) - target)
+        residual = float(abs(engine.safe_probability(p) - target))
+        if not math.isfinite(residual):
+            raise NumericalError(f"non-finite residual {residual} at p={p}")
     return EquilibriumResult(p_star=p, kind=kind, residual=residual,
                              iterations=iterations,
                              convention=engine.model.convention)
@@ -73,11 +75,16 @@ def interior_exists(engine: PayoffEngine) -> bool:
     """Whether the two sides cross inside (0, 1): poly_side(1) < exp_side(1).
 
     Evaluated in the bounded safe-probability form so large lam cannot
-    overflow the exponential.
+    overflow the exponential. A non-finite safe mass (its polynomial can
+    still overflow) raises NumericalError rather than pick a branch.
     """
     m = engine.model
     target = 1.0 - m.protection_cost / m.infection_cost
-    return engine.safe_probability(1.0) < target
+    mass = engine.safe_probability(1.0)
+    if not math.isfinite(mass):
+        raise NumericalError(
+            f"non-finite safe mass {mass} at p=1 (lam={m.lam})")
+    return mass < target
 
 
 def solve_equilibrium(engine: PayoffEngine,

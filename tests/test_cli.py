@@ -61,6 +61,15 @@ def test_eq_malformed_json(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eq_overflowing_safe_mass_exits_4(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"lambda": 5000, "beta": 1, "K": 5, "C": 1,
+                                "types": [{"r": 1.0, "delta": 2000}]}))
+    assert main(["--config", str(path), "eq"]) == 4
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_eq_missing_file():
     assert main(["--config", "/nonexistent/model.json", "eq"]) == 3
 
@@ -221,8 +230,14 @@ def test_console_entry_point(low_spread_config):
 def test_module_entry_point(low_spread_config):
     import subprocess
     import sys
+
+    import evopoisson
+    # the child runs the package this suite imports, installed or not
+    src = os.path.dirname(os.path.dirname(evopoisson.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "evopoisson", "--config", low_spread_config,
-         "eq"], capture_output=True, text=True)
+         "eq"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "p_star" in proc.stdout

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from evopoisson import (ControlMode, ParameterError, StepFamily,
-                        StepSchedule, concavity_check, optimize_exact,
-                        revenue, run_two_timescale, spsa_gradient,
-                        validate_schedule)
+from evopoisson import (ControlMode, ParameterError, PayoffEngine,
+                        StepFamily, StepSchedule, concavity_check,
+                        optimize_exact, revenue, run_two_timescale,
+                        spsa_gradient)
+
+from conftest import learning_model
 
 GOOD = StepSchedule(StepFamily.INV_N_LOG_N)
 
@@ -15,15 +17,15 @@ GOOD = StepSchedule(StepFamily.INV_N_LOG_N)
     (StepFamily.INV_N_SQ, (False, True, None)),
 ])
 def test_validate_schedule(family, triple):
-    flags = validate_schedule(StepSchedule(family))
-    assert (flags.sums_to_infinity, flags.square_summable,
-            flags.slower_than_inv_n) == triple
-    assert flags.valid_for_control == (triple == (True, True, True))
+    sched = StepSchedule(family)
+    assert (sched.sums_to_infinity, sched.square_summable,
+            sched.slower_than_inv_n) == triple
+    assert sched.valid_for_control == (triple == (True, True, True))
 
 
-def test_validate_schedule_rejects_non_schedule():
+def test_validate_schedule_rejects_non_schedule(learning_engine):
     with pytest.raises(ParameterError):
-        validate_schedule("1/n")
+        run_two_timescale(learning_engine, "1/n", n_outer=5)
 
 
 def test_revenue_endpoints(pricing_engine):
@@ -151,11 +153,11 @@ def test_two_timescale_annotates_invalid_schedule(learning_engine):
     state = run_two_timescale(learning_engine, StepSchedule(StepFamily.INV_N),
                               c0=1.5, n_outer=5, mode=ControlMode.NESTED,
                               seed=0)
-    assert not state.schedule_flags.valid_for_control
+    assert not state.schedule.valid_for_control
     assert state.notes
     good = run_two_timescale(learning_engine, GOOD, c0=1.5, n_outer=5,
                              mode=ControlMode.NESTED, seed=0)
-    assert good.schedule_flags.valid_for_control
+    assert good.schedule.valid_for_control
     assert not good.notes
 
 
@@ -173,3 +175,32 @@ def test_coupled_trace_population_moves(learning_engine):
     assert len(np.unique(state.trace_population)) > 1
     assert np.all((state.trace_population >= 0.0)
                   & (state.trace_population <= 1.0))
+
+
+# (final price, last population share) after 60 iterations from c0=1.5
+# with seed 7; compared exactly, so any change to the controller's
+# floating-point operations shows.
+GOLDEN = {
+    (ControlMode.NESTED, StepFamily.INV_N):
+        (7.853771760311091, 0.41647855151920454),
+    (ControlMode.NESTED, StepFamily.INV_N_LOG_N):
+        (7.387523552294984, 0.3843739449218472),
+    (ControlMode.NESTED, StepFamily.INV_N_SQ):
+        (5.853317170261057, 0.30377316313907243),
+    (ControlMode.NESTED, StepFamily.CONSTANT):
+        (5.3920452366703016, 0.2815427155222118),
+    (ControlMode.COUPLED, StepFamily.INV_N): (9.9, 0.7431432514370427),
+    (ControlMode.COUPLED, StepFamily.INV_N_LOG_N): (9.9, 0.7431432514370427),
+    (ControlMode.COUPLED, StepFamily.INV_N_SQ): (9.9, 0.7431432514370427),
+    (ControlMode.COUPLED, StepFamily.CONSTANT):
+        (6.249534170746566, 0.2871577016317901),
+}
+
+
+@pytest.mark.parametrize("mode,family", sorted(
+    GOLDEN, key=lambda k: (k[0].value, k[1].value)))
+def test_two_timescale_golden(mode, family):
+    state = run_two_timescale(PayoffEngine(learning_model()),
+                              StepSchedule(family, h=0.01), c0=1.5,
+                              n_outer=60, mode=mode, seed=7)
+    assert (state.price, state.trace_population[-1]) == GOLDEN[mode, family]

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.special
 
-from evopoisson import (DomainError, EquilibriumKind, PayoffEngine,
-                        SafeSetConvention, check_dominance,
+from evopoisson import (DomainError, EquilibriumKind, NumericalError,
+                        PayoffEngine, SafeSetConvention, check_dominance,
                         closed_form_lambert, closed_form_log,
                         interior_exists, lambert_w_minus1, solve_equilibrium,
                         verify_ess)
@@ -57,6 +57,32 @@ def test_solve_no_interior_returns_pure():
     res = solve_equilibrium(eng)
     assert res.p_star == 1.0
     assert res.kind is EquilibriumKind.PURE_OFF_DOMINANT
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_safe_mass_raises():
+    # lam=5000, tau=1/2000: the safe-mass polynomial overflows to inf at
+    # p=1 and e^{-y} * inf is NaN, which must not read as "no interior"
+    eng = PayoffEngine(single_type_model(Fraction(1, 2000), lam=5000.0,
+                                         price=1.0))
+    with pytest.raises(NumericalError):
+        interior_exists(eng)
+    with pytest.raises(NumericalError):
+        solve_equilibrium(eng)
+
+
+def test_residual_is_float(low_spread_engine):
+    results = [
+        solve_equilibrium(low_spread_engine),
+        solve_equilibrium(PayoffEngine(low_spread_model(price=6.0))),
+        closed_form_log(PayoffEngine(single_type_model(Fraction(2)))),
+        closed_form_lambert(PayoffEngine(single_type_model(Fraction(4, 5)))),
+    ]
+    assert [r.kind for r in results] == [
+        EquilibriumKind.INTERIOR_MIXED, EquilibriumKind.PURE_OFF_DOMINANT,
+        EquilibriumKind.CLOSED_FORM_LOG, EquilibriumKind.CLOSED_FORM_LAMBERT]
+    for r in results:
+        assert type(r.residual) is float
 
 
 def test_solve_free_protection():

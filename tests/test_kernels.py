@@ -63,6 +63,10 @@ def test_path_kernels_match():
 
     args = (COEFFS, 10.0, 5.0, 4.0, 0.35, 0.1, 1e-10, 100_000)
     assert k.equilibrate(*args) == k.py_equilibrate(*args)
+    # equilibrate is the constant-step discrete path, keeping its end point
+    _, _, _, steps, converged, p = k.discrete_path(
+        COEFFS, 10.0, 5.0, 4.0, 0.35, 100_000, 1e-10, 3, 0.1, 1, 2)
+    assert k.equilibrate(*args) == (p, steps, converged)
 
 
 def test_equilibrate_reaches_rest_point():
