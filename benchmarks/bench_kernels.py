@@ -1,7 +1,7 @@
 """Timing comparison of the compiled C loop kernels against their
 pure-Python twins.
 
-Run:  python3 benchmarks/bench_kernels.py
+Run:  PYTHONPATH=src python3 benchmarks/bench_kernels.py
 Exits with a message when the compiled library did not load (no ``cc``, a
 failed build, or an unwritable ``__pycache__``).
 """

@@ -11,7 +11,7 @@ ctypes; later imports load the cached library without starting the
 compiler. Both versions execute the same sequence of IEEE operations with
 the same libm ``exp``/``log``, so their results are bitwise equal. When
 there is no ``cc``, the build fails, or ``__pycache__`` cannot be written,
-the exported loops are the ``py_*`` twins (same results, 10-100x slower,
+the exported loops are the ``py_*`` twins (same results, 5-40x slower,
 the most on the long paths).
 
 The scalar evaluators (``poly``, ``safe_prob``, ``cost_off``, ``drift``)
@@ -40,8 +40,8 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 def py_poly(coeffs, y):
     """Evaluate sum_n coeffs[n] * y**n by Horner's scheme."""
     acc = 0.0
-    for i in range(coeffs.shape[0] - 1, -1, -1):
-        acc = acc * y + coeffs[i]
+    for c in reversed(coeffs.tolist()):
+        acc = acc * y + c
     return acc
 
 

@@ -34,31 +34,22 @@ _SCHEDULES = {
 }
 
 
-def _preset_low_spread(lam=10.0, price=4.0, r1=0.1,
-                       convention=None) -> PopulationModel:
-    # two types with spreading rates 0.05 and 0.2
-    return PopulationModel(lam=lam, type_dist=(r1, 1.0 - r1),
-                           contamination_rate=5, recovery_rates=(100, 25),
-                           infection_cost=5.0, protection_cost=price,
-                           convention=convention)
+# two types with spreading rates 0.05 and 0.2
+LOW_SPREAD = PopulationModel(lam=10.0, type_dist=(0.1, 0.9),
+                             contamination_rate=5, recovery_rates=(100, 25),
+                             infection_cost=5.0, protection_cost=4.0)
 
+# two types with spreading rates 0.5 and 0.98
+PRICING = PopulationModel(lam=10.0, type_dist=(0.3, 0.7),
+                          contamination_rate=1,
+                          recovery_rates=(2, Fraction(50, 49)),
+                          infection_cost=10.0, protection_cost=4.0)
 
-def _preset_pricing(lam=10.0, price=4.0, convention=None) -> PopulationModel:
-    # two types with spreading rates 0.5 and 0.98
-    return PopulationModel(lam=lam, type_dist=(0.3, 0.7),
-                           contamination_rate=1,
-                           recovery_rates=(2, Fraction(50, 49)),
-                           infection_cost=10.0, protection_cost=price,
-                           convention=convention)
-
-
-def _preset_learning(lam=10.0, price=4.0, convention=None) -> PopulationModel:
-    # two types with spreading rates 0.5 and 50/51
-    return PopulationModel(lam=lam, type_dist=(0.3, 0.7),
+# two types with spreading rates 0.5 and 50/51
+LEARNING = PopulationModel(lam=10.0, type_dist=(0.3, 0.7),
                            contamination_rate=5,
                            recovery_rates=(10, Fraction(51, 10)),
-                           infection_cost=10.0, protection_cost=price,
-                           convention=convention)
+                           infection_cost=10.0, protection_cost=4.0)
 
 
 def _load_model(args, default=None) -> PopulationModel:
@@ -121,7 +112,7 @@ def _apply_param(model: PopulationModel, name: str,
         if model.num_types != 2:
             raise ParameterError("sweeping r needs a two-type model")
         return replace(model, type_dist=(value, 1.0 - value))
-    if name.startswith("tau"):
+    if name.startswith("tau") and name[3:].isdecimal():
         idx = int(name[3:]) - 1
         if not 0 <= idx < model.num_types:
             raise ParameterError(f"no type for sweep parameter {name!r}")
@@ -135,26 +126,38 @@ def _apply_param(model: PopulationModel, name: str,
                          f"(use lambda, C, r, or tauN)")
 
 
-def cmd_sweep(args) -> int:
-    model = _load_model(args)
-    specs = [_parse_sweep_spec(s) for s in args.sweep]
-    if not 1 <= len(specs) <= 2:
-        raise ParameterError("give one or two --sweep specs")
-    names = [s[0] for s in specs]
-    grids = [s[1] for s in specs]
+def _grid(model: PopulationModel, axes) -> list:
+    """Equilibrium rows (*axis values, p*, 1 - p*, lam (1 - p*) C) over the
+    product of axes [(param, values)]. Cells that differ only in lambda or
+    C share one safe set, enumerated once per call."""
+    names, grids = zip(*axes)
+    safe_sets = {}
     rows = []
     for combo in itertools.product(*grids):
+        combo = tuple(float(v) for v in combo)
         cell = model
         for name, value in zip(names, combo):
-            cell = _apply_param(cell, name, float(value))
-        res = solve_equilibrium(PayoffEngine(cell))
-        rev = cell.lam * (1.0 - res.p_star) * cell.protection_cost
-        rows.append(tuple(float(v) for v in combo)
-                    + (res.p_star, 1.0 - res.p_star, rev))
-    header = names + ["p_star", "protection_rate", "revenue[cost]"]
+            cell = _apply_param(cell, name, value)
+        key = cell.safe_set_fingerprint()
+        engine = PayoffEngine(cell, safe_sets.get(key))
+        safe_sets[key] = engine.safe_set
+        res = solve_equilibrium(engine)
+        rows.append(combo + (res.p_star, 1.0 - res.p_star,
+                             cell.lam * (1.0 - res.p_star)
+                             * cell.protection_cost))
+    return rows
+
+
+def cmd_sweep(args) -> int:
+    model = _load_model(args)
+    axes = [_parse_sweep_spec(s) for s in args.sweep]
+    if not 1 <= len(axes) <= 2:
+        raise ParameterError("give one or two --sweep specs")
+    header = [name for name, _ in axes] + ["p_star", "protection_rate",
+                                           "revenue[cost]"]
     out = args.out or "sweep.csv"
-    write_series(out, header, rows, args.format, x_col=len(names) - 1,
-                 y_col=len(names) + 1, title="sweep")
+    write_series(out, header, _grid(model, axes), args.format,
+                 x_col=len(axes) - 1, y_col=len(axes) + 1, title="sweep")
     return 0
 
 
@@ -175,18 +178,25 @@ def cmd_replicator(args) -> int:
     return 0
 
 
-def cmd_revenue(args) -> int:
-    engine = PayoffEngine(_load_model(args))
-    if args.n_points < 1 or args.c_hi < args.c_lo:
+_REVENUE_HEADER = ["C[cost]", "p_star", "revenue[cost]"]
+
+
+def _revenue_rows(model: PopulationModel, c_lo: float, c_hi: float,
+                  n: int) -> list:
+    """(C, p*, revenue) at n prices from c_lo to c_hi."""
+    if n < 1 or c_hi < c_lo:
         raise ParameterError("empty revenue grid")
-    rows = []
-    for c in np.linspace(args.c_lo, args.c_hi, args.n_points):
-        res = solve_equilibrium(engine.with_cost(float(c)))
-        rows.append((float(c), res.p_star,
-                     engine.model.lam * (1.0 - res.p_star) * float(c)))
+    return [(c, p_star, rev) for c, p_star, _, rev
+            in _grid(model, [("C", np.linspace(c_lo, c_hi, n))])]
+
+
+def cmd_revenue(args) -> int:
+    model = _load_model(args)
+    c_hi = model.infection_cost if args.c_hi is None else args.c_hi
+    rows = _revenue_rows(model, args.c_lo, c_hi, args.n_points)
     out = args.out or "revenue.csv"
-    write_series(out, ["C[cost]", "p_star", "revenue[cost]"], rows,
-                 args.format, title="revenue vs price")
+    write_series(out, _REVENUE_HEADER, rows, args.format,
+                 title="revenue vs price")
     return 0
 
 
@@ -216,44 +226,34 @@ def cmd_spsa(args) -> int:
 
 
 def _figure2(args, out):
-    lam_grid = np.arange(2.0, 31.0, 1.0)
-    r_grid = [0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 0.9, 1.0]
-    rows = []
-    for lam in lam_grid:
-        for r1 in r_grid:
-            model = _preset_low_spread(lam=float(lam), r1=r1,
-                                       convention=_conv(args))
-            res = solve_equilibrium(PayoffEngine(model))
-            rows.append((float(lam), r1, 1.0 - res.p_star))
+    rows = _grid(replace(LOW_SPREAD, convention=_conv(args)),
+                 [("lambda", np.arange(2.0, 31.0, 1.0)),
+                  ("r", (0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 0.9, 1.0))])
     path = os.path.join(out, "figure2_protection_vs_lambda.csv")
     return [write_series(path, ["lambda", "r", "protection_rate"],
-                         rows, args.format, x_col=0, y_col=2,
+                         [(lam, r1, q) for lam, r1, _, q, _ in rows],
+                         args.format, x_col=0, y_col=2,
                          title="protection vs lambda")]
 
 
 def _figure3(args, out):
+    rows = _grid(replace(LOW_SPREAD, lam=30.0, convention=_conv(args)),
+                 [("tau1", (0.05, 0.1)), ("r", np.linspace(0.0, 1.0, 51))])
     written = []
-    for tau1, deltas in (("0.05", (100, 25)), ("0.1", (50, 25))):
-        rows = []
-        for r1 in np.linspace(0.0, 1.0, 51):
-            model = PopulationModel(
-                lam=30.0, type_dist=(float(r1), 1.0 - float(r1)),
-                contamination_rate=5, recovery_rates=deltas,
-                infection_cost=5.0, protection_cost=4.0,
-                convention=_conv(args))
-            res = solve_equilibrium(PayoffEngine(model))
-            rows.append((float(r1), 1.0 - res.p_star))
+    for tau1 in (0.05, 0.1):
         path = os.path.join(out, f"figure3_protection_vs_r_tau1_{tau1}.csv")
-        written.append(write_series(path, ["r", "protection_rate"],
-                                    rows, args.format,
-                                    title=f"protection vs r (tau1={tau1})"))
+        written.append(write_series(
+            path, ["r", "protection_rate"],
+            [(r1, q) for t, r1, _, q, _ in rows if t == tau1], args.format,
+            title=f"protection vs r (tau1={tau1})"))
     return written
 
 
 def _figure4(args, out):
     written = []
-    model = _load_model(args, _preset_low_spread(lam=args.lam or 10.0))
-    engine = PayoffEngine(model)
+    preset = (LOW_SPREAD if args.lam is None
+              else replace(LOW_SPREAD, lam=args.lam))
+    engine = PayoffEngine(_load_model(args, preset))
     for p0 in (0.3, 0.7):
         traj = integrate_replicator(engine, p0)
         rows = list(zip(traj.times.tolist(), traj.values.tolist()))
@@ -264,27 +264,21 @@ def _figure4(args, out):
 
 
 def _figure5(args, out):
-    model = _load_model(args, _preset_pricing())
-    engine = PayoffEngine(model)
-    rows = []
-    for c in np.linspace(0.0, model.infection_cost, 101):
-        res = solve_equilibrium(engine.with_cost(float(c)))
-        rows.append((float(c), res.p_star,
-                     model.lam * (1.0 - res.p_star) * float(c)))
+    model = _load_model(args, PRICING)
+    rows = _revenue_rows(model, 0.0, model.infection_cost, 101)
     path = os.path.join(out, "figure5_revenue_vs_price.csv")
-    return [write_series(path, ["C[cost]", "p_star", "revenue[cost]"], rows,
-                         args.format, x_col=0, y_col=2,
-                         title="revenue vs price")]
+    return [write_series(path, _REVENUE_HEADER, rows, args.format, x_col=0,
+                         y_col=2, title="revenue vs price")]
 
 
 def _figure6(args, out):
-    model = _load_model(args, _preset_learning())
-    engine = PayoffEngine(model)
+    engine = PayoffEngine(_load_model(args, LEARNING))
+    c0 = 1.5 if args.c0 is None else args.c0
     written = []
     for slug in ("inv_n_log_n", "inv_n", "inv_n_sq"):
         sched = StepSchedule(_SCHEDULES[slug])
         state = run_two_timescale(engine, sched, delta=args.delta,
-                                  c0=args.c0 or 1.5, n_outer=args.n_outer,
+                                  c0=c0, n_outer=args.n_outer,
                                   mode=ControlMode.NESTED, seed=args.seed)
         path = os.path.join(out, f"figure6_trace_{slug}.csv")
         written.append(write_series(path, _TRACE_HEADER, _trace_rows(state),
@@ -379,8 +373,6 @@ def main(argv=None) -> int:
         "figure": cmd_figure,
     }
     try:
-        if args.command == "revenue" and args.c_hi is None:
-            args.c_hi = _load_model(args).infection_cost
         return handlers[args.command](args)
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)

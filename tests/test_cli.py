@@ -1,10 +1,15 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from evopoisson import cli, payoff
 from evopoisson.cli import main
+from evopoisson.equilibrium import solve_equilibrium
+from evopoisson.model import model_from_json
+from evopoisson.payoff import PayoffEngine
 
 LEARNING_CONFIG = {
     "lambda": 10, "beta": 5, "K": 10, "C": 4,
@@ -115,8 +120,44 @@ def test_sweep_empty_grid(low_spread_config):
                  "--sweep", "lambda=10:2:5"]) == 2
     assert main(["--config", low_spread_config, "sweep",
                  "--sweep", "nonsense"]) == 2
+    for spec in ("tau9=1:2:3", "tau=1:2:3", "taux=1:2:3"):
+        assert main(["--config", low_spread_config, "sweep",
+                     "--sweep", spec]) == 2
+
+
+def test_grid_enumerates_each_safe_set_once(tmp_path, low_spread_config,
+                                            monkeypatch):
+    calls = []
+    enumerate_safe_set = payoff.enumerate_safe_set
+
+    def counted(model, *args, **kwargs):
+        calls.append(model)
+        return enumerate_safe_set(model, *args, **kwargs)
+
+    written = []
+
+    def capture(path, header, rows, *args, **kwargs):
+        written.append(rows)
+        return path
+
+    monkeypatch.setattr(payoff, "enumerate_safe_set", counted)
+    monkeypatch.setattr(cli, "write_series", capture)
     assert main(["--config", low_spread_config, "sweep",
-                 "--sweep", "tau9=1:2:3"]) == 2
+                 "--sweep", "lambda=2:30:29", "--sweep", "C=0.5:4.5:21"]) == 0
+    assert len(calls) == 1
+    assert main(["--out", str(tmp_path), "figure", "2"]) == 0
+    assert len(calls) == 1 + 8     # once per type mix
+
+    monkeypatch.setattr(payoff, "enumerate_safe_set", enumerate_safe_set)
+    with open(low_spread_config) as fh:
+        model = model_from_json(fh.read())
+    rows = written[0]
+    assert len(rows) == 29 * 21
+    for lam, price, *rest in rows:
+        cell = replace(model, lam=lam).with_cost(price)
+        res = solve_equilibrium(PayoffEngine(cell))
+        assert tuple(rest) == (res.p_star, 1.0 - res.p_star,
+                               lam * (1.0 - res.p_star) * price)
 
 
 def test_replicator_csv(tmp_path, low_spread_config):
@@ -176,6 +217,18 @@ def test_figure2_columns(tmp_path):
     assert lines[0] == "lambda,r,protection_rate"
     lams = sorted({float(ln.split(",")[0]) for ln in lines[1:]})
     assert lams[0] == 2.0 and lams[-1] == 30.0
+
+
+def test_figure4_lam_zero_exits_2(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "figure", "4", "--lam", "0"]) == 2
+    assert "lam must be positive" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_figure6_c0_zero_exits_2(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "figure", "6", "--c0", "0"]) == 2
+    assert "c0 must lie in (0, K)" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_figure6_three_traces_deterministic(tmp_path):

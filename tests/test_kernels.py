@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from evopoisson import _kernels as k
-from evopoisson import solve_equilibrium
+from evopoisson import (ControlMode, StepFamily, StepSchedule,
+                        run_two_timescale, solve_equilibrium)
 from evopoisson.payoff import PayoffEngine
 
 from conftest import low_spread_model
@@ -81,6 +82,18 @@ def restore_kernels():
     saved = k.LIB
     yield
     k.use_library(saved)
+
+
+def test_scalar_results_are_float(learning_engine, restore_kernels):
+    # the Python Horner loop must not leak numpy scalars out of coeffs
+    for lib in (k.LIB, None):
+        k.use_library(lib)
+        assert type(learning_engine.safe_probability(0.4)) is float
+        for mode in ControlMode:
+            state = run_two_timescale(
+                learning_engine, StepSchedule(StepFamily.INV_N_LOG_N),
+                c0=1.5, n_outer=20, mode=mode, seed=0)
+            assert type(state.price) is float
 
 
 def test_fallback_without_compiler(tmp_path, monkeypatch, restore_kernels):
