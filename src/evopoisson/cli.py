@@ -201,10 +201,9 @@ def cmd_revenue(args) -> int:
 
 
 def _trace_rows(state):
-    cols = [state.trace_n, state.trace_price, state.trace_revenue,
-            state.trace_sign, state.trace_population]
-    return [tuple(float(c[i]) for c in cols)
-            for i in range(len(state.trace_n))]
+    return np.column_stack([state.trace_n, state.trace_price,
+                            state.trace_revenue, state.trace_sign,
+                            state.trace_population]).tolist()
 
 
 _TRACE_HEADER = ["n", "C_n[cost]", "R_hat[cost]", "Delta_n", "p_population"]

@@ -22,6 +22,9 @@ from .payoff import PayoffEngine
 INV_E = math.exp(-1.0)
 BISECT_TOL = 1e-10
 BISECT_MAX_ITER = 200
+# Largest safe mass the underflowed coefficients may drop before a solve
+# raises instead of answering.
+TRUNCATION_TOL = 1e-12
 
 
 class EquilibriumKind(Enum):
@@ -87,6 +90,30 @@ def interior_exists(engine: PayoffEngine) -> bool:
     return mass < target
 
 
+def check_truncation(engine: PayoffEngine) -> None:
+    """Raise NumericalError when the coefficients from the safe set's
+    underflow total n_u on can carry more than TRUNCATION_TOL of safe mass.
+
+    Each coefficient is at most 1/n!, so at y = lam*p <= lam the mass they
+    carry is at most P(Pois(lam) >= n_u). For n_u > lam + 1 the tail is
+    bounded by pmf(n_u) / (1 - lam/(n_u + 1)), taken in log space.
+    """
+    n_u = engine.safe_set.underflow_total
+    if n_u is None:
+        return
+    lam = engine.model.lam
+    bound = 1.0
+    if n_u > lam + 1.0:
+        log_tail = (n_u * math.log(lam) - lam - math.lgamma(n_u + 1.0)
+                    - math.log1p(-lam / (n_u + 1.0)))
+        bound = math.exp(log_tail)
+        if bound <= TRUNCATION_TOL:
+            return
+    raise NumericalError(
+        f"safe-set coefficients underflow from total {n_u} on, and "
+        f"P(Pois({lam}) >= {n_u}) is bounded only by {bound:.3g}")
+
+
 def solve_equilibrium(engine: PayoffEngine,
                       tol: float = BISECT_TOL) -> EquilibriumResult:
     """Dominance shortcut, then bisection on the indifference equation."""
@@ -97,6 +124,7 @@ def solve_equilibrium(engine: PayoffEngine,
     if m.protection_cost == 0.0:
         # protection is free: the crossing sits at p = 0 exactly
         return _result(engine, 0.0, EquilibriumKind.INTERIOR_MIXED, 0)
+    check_truncation(engine)
     if not interior_exists(engine):
         # staying unprotected is always the cheaper reply
         return _result(engine, 1.0, EquilibriumKind.PURE_OFF_DOMINANT, 0)

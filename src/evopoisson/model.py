@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -44,6 +45,7 @@ from .errors import DomainError, ParameterError, ResourceLimitError
 
 DEFAULT_SAFESET_CAP = 10**7
 SAFESET_CAP_ENV = "EVOPOISSON_SAFESET_CAP"
+DBL_MIN = sys.float_info.min
 
 
 class SafeSetConvention(Enum):
@@ -208,12 +210,19 @@ class SafeSet:
     ``coeffs[n]`` holds sum over safe points with total count n of
     prod_t r(t)**x_t / x_t!, so the safe probability mass at Poisson scale
     y is exp(-y) * sum_n coeffs[n] * y**n.
+
+    ``underflow_total`` (n_u) is the smallest total of a point whose term
+    fell below DBL_MIN although every factor r(t) it multiplies by is
+    positive, or None when no term did. From n_u on the coefficients may
+    have lost mass; terms that are zero because some r(t) = 0 are exact
+    and do not count.
     """
 
     points: np.ndarray          # (N, T) int64, lexicographically sorted
     coeffs: np.ndarray          # (max_total + 1,) float64
     max_total: int
     fingerprint: tuple = field(repr=False)
+    underflow_total: int | None = None
 
     @property
     def size(self) -> int:
@@ -275,18 +284,23 @@ def enumerate_safe_set(model: PopulationModel,
     r = model.type_dist
     coeffs = np.zeros(max_total + 1)
     comp = np.zeros(max_total + 1)  # Kahan compensation per total count
+    n_u = max_total + 1
     for pt in points:
         term = 1.0
         for rt, k in zip(r, pt):
             for j in range(1, k + 1):
                 term *= rt / j
         n = sum(pt)
+        if (term < DBL_MIN and n < n_u
+                and all(rt > 0.0 for rt, k in zip(r, pt) if k)):
+            n_u = n
         y = term - comp[n]
         s = coeffs[n] + y
         comp[n] = (s - coeffs[n]) - y
         coeffs[n] = s
     return SafeSet(points=arr, coeffs=coeffs, max_total=max_total,
-                   fingerprint=model.safe_set_fingerprint())
+                   fingerprint=model.safe_set_fingerprint(),
+                   underflow_total=n_u if n_u <= max_total else None)
 
 
 def model_from_dict(doc: dict) -> PopulationModel:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 from typing import Iterable, Sequence
 
@@ -15,13 +16,30 @@ def format_value(v) -> str:
     return str(v)
 
 
+CHUNK_ROWS = 4096
+
+
 def write_csv(path: str, header: Sequence[str],
               rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+    """Header line, then one line per row, formatted as ``format_value``
+    would: ``%.12g`` for floats and ``%s`` for everything else.
+
+    The ``%`` template is built once from the value types of the first
+    row, so every row must hold one type per column (a float column holds
+    only floats, and so on). Rows are formatted and written 4096 at a
+    time, so memory stays flat in the number of rows.
+    """
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        it = iter(rows)
+        chunk = list(itertools.islice(it, CHUNK_ROWS))
+        if not chunk:
+            return
+        fmt = ",".join("%.12g" if isinstance(v, float) else "%s"
+                       for v in chunk[0]) + "\n"
+        while chunk:
+            fh.write("".join([fmt % tuple(r) for r in chunk]))
+            chunk = list(itertools.islice(it, CHUNK_ROWS))
 
 
 def render_svg(xs: Sequence[float], ys: Sequence[float], x_label: str,

@@ -75,6 +75,16 @@ def test_eq_overflowing_safe_mass_exits_4(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_eq_truncated_coefficients_exits_4(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"lambda": 300, "beta": 1, "K": 5, "C": 1,
+                                "types": [{"r": 1.0, "delta": 2000}]}))
+    assert main(["--config", str(path), "eq"]) == 4
+    captured = capsys.readouterr()
+    assert "p_star" not in captured.out
+    assert "underflow" in captured.err
+
+
 def test_eq_missing_file():
     assert main(["--config", "/nonexistent/model.json", "eq"]) == 3
 

@@ -71,6 +71,37 @@ def test_overflowing_safe_mass_raises():
         solve_equilibrium(eng)
 
 
+def test_truncated_coefficients_raise():
+    # tau=1/2000, lam=300: 1/n! goes subnormal from n=171 on, so the
+    # coefficients drop almost all the safe mass. The true mass at p=1 is
+    # about 1, above 1 - C/K = 0.8 (p*=1); the cut polynomial's root at
+    # p=0.5557 is wrong.
+    eng = PayoffEngine(single_type_model(Fraction(1, 2000), lam=300.0,
+                                         price=1.0))
+    assert eng.safe_set.underflow_total == 171
+    with pytest.raises(NumericalError, match="underflow from total 171"):
+        solve_equilibrium(eng)
+    # far enough below the cut, the dropped tail is under the tolerance
+    res = solve_equilibrium(PayoffEngine(single_type_model(
+        Fraction(1, 2000), lam=50.0, price=1.0)))
+    assert res.kind is EquilibriumKind.PURE_OFF_DOMINANT
+    # dominance needs no coefficients, so it still answers
+    res = solve_equilibrium(PayoffEngine(single_type_model(
+        Fraction(1, 2000), lam=300.0, price=5.0)))
+    assert res.p_star == 1.0
+
+
+def test_exact_zero_coefficients_are_not_underflow():
+    # a figure-2 cell with r=(0, 1): coeffs[6..20] are exact zeros (every
+    # point there has x_1 > 0 and r_1 = 0), not underflow
+    eng = PayoffEngine(low_spread_model(lam=30.0, r1=0.0))
+    assert eng.safe_set.max_total == 20
+    assert not eng.coeffs[6:].any()
+    assert eng.safe_set.underflow_total is None
+    res = solve_equilibrium(eng)
+    assert res.p_star.hex() == "0x1.0ddb9f3780000p-2"
+
+
 def test_residual_is_float(low_spread_engine):
     results = [
         solve_equilibrium(low_spread_engine),
